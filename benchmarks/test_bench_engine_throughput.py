@@ -7,9 +7,10 @@ must run at >= 3x the executions/sec of the reference loop
 flat dictionary) — while producing element-wise identical MatchResults.
 
 The speedup is algorithmic, not parallel-hardware luck: batch-wide
-vectorized interval means, one shard-parallel (node, value) tuple index
-instead of per-lookup dataclass hashing, and verdict memoization across
-repeated fingerprint patterns.  It therefore holds on a single core.
+vectorized interval means, and one records kernel that resolves and
+votes every (node, value) probe in integer-id space instead of
+per-lookup dataclass hashing and string votes.  It therefore holds on a
+single core.
 """
 
 from __future__ import annotations

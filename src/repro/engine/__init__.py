@@ -27,10 +27,11 @@ would run.  ``repro.engine`` is the scale-out layer:
 - :class:`~repro.engine.batch.BatchRecognizer` recognizes many
   executions (or many live :class:`~repro.core.streaming.StreamSession`
   objects) in one call: interval means are computed vectorized over
-  nodes with NumPy, unique fingerprints are looked up once via a
-  per-shard tuple index built in parallel over shards
-  (``repro.parallel.pool`` — serial / thread / process backends), and
-  per-execution votes reuse the exact matcher semantics.
+  nodes with NumPy; stored records resolve and vote in integer-id space
+  through the store's :class:`~repro.engine.kernel.RecordKernel`, while
+  sessions look each unique fingerprint up once, fanned out over shards
+  (``repro.parallel.pool`` — serial / thread / process backends).  Both
+  return exactly the sequential matcher's verdicts.
 
 - :class:`~repro.engine.stats.EngineStats` counts lookups, hits, ties,
   and unknowns, snapshots per-shard occupancy, and carries the serving

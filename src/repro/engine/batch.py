@@ -7,15 +7,17 @@ and per execution (rebuilding the application order).  At batch scale
 all of that amortizes:
 
 - interval means are computed as one NumPy matrix reduction over all
-  nodes of an execution (bit-identical to the scalar path: clean rows
+  nodes of the batch (bit-identical to the scalar path: clean rows
   reduce over the same contiguous data, rows with dropout fall back to
   the exact scalar routine);
 - rounding is vectorized (:func:`~repro.core.rounding.round_depth_array`
   mirrors the scalar function bit-for-bit);
-- duplicate fingerprints across the batch are looked up once, and the
-  unique-key lookups fan out shard-parallel via
-  :func:`repro.parallel.pool.parallel_map`;
-- the application order for tie-breaking is computed once per batch.
+- stored records resolve and vote in integer-id space
+  (:class:`~repro.engine.kernel.RecordKernel`); label and app strings
+  are only built into the returned dicts;
+- live sessions look each distinct fingerprint up once, fanned out
+  shard-parallel via :func:`repro.parallel.pool.parallel_map`, and the
+  application order for tie-breaking is computed once per batch.
 
 The result list is element-wise equal to a sequential loop of
 ``match_fingerprints`` calls — property-tested across shard counts and
@@ -25,18 +27,20 @@ pool backends in ``tests/test_engine_properties.py``.
 from __future__ import annotations
 
 import os
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.dictionary import ExecutionFingerprintDictionary, app_of_label
+from repro.core.dictionary import ExecutionFingerprintDictionary
 from repro.core.fingerprint import DEFAULT_INTERVAL, Fingerprint
 from repro.core.matcher import MatchResult, vote
 from repro.core.rounding import round_depth_array
 from repro.core.streaming import StreamSession
 from repro.data.dataset import ExecutionRecord
 from repro.telemetry.timeseries import TimeSeries
-from repro.engine.columnar import ColumnarBatchIndex, ColumnarDictionary
+from repro.engine.columnar import ColumnarDictionary
+from repro.engine.kernel import RecordKernel
 from repro.engine.remote import RemoteShardBackend
 from repro.engine.sharded import ShardedDictionary, shard_index
 from repro.engine.stats import EngineStats
@@ -44,27 +48,6 @@ from repro.parallel.partition import chunk_evenly
 from repro.parallel.pool import parallel_map
 
 AnyDictionary = Union[ExecutionFingerprintDictionary, ShardedDictionary]
-
-#: The batch lookup table: (node, value) -> (label list, distinct apps).
-TupleIndex = Dict[Tuple[int, float], Tuple[List[str], Tuple[str, ...]]]
-
-
-def _shard_tuple_index(
-    task: Tuple[AnyDictionary, str, Tuple[float, float]]
-) -> TupleIndex:
-    """(node, value) -> (label list, distinct apps) for one store's keys
-    of one (metric, interval) — the engine's O(1) batch lookup table.
-
-    The per-key app tuple precomputes what ``vote()`` would re-derive
-    for every lookup: the applications this key's labels span, deduped.
-    """
-    store, metric, interval = task
-    index: TupleIndex = {}
-    for fp, labels in store.entries():
-        if fp.metric == metric and fp.interval == interval:
-            apps = tuple(dict.fromkeys(app_of_label(l) for l in labels))
-            index[(fp.node, fp.value)] = (labels, apps)
-    return index
 
 
 def _lookup_chunk(
@@ -211,6 +194,28 @@ def _check_metric(record: ExecutionRecord, metric: str) -> None:
     )
 
 
+def _node_series(
+    records: Sequence[ExecutionRecord], metric: str
+) -> List[TimeSeries]:
+    """Every record's ``metric`` series, record-major, node-minor."""
+    keys: Dict[int, List[Tuple[str, int]]] = {}
+    slots: List[TimeSeries] = []
+    for record in records:
+        n_nodes = record.n_nodes
+        if n_nodes not in keys:
+            keys[n_nodes] = [(metric, node) for node in range(n_nodes)]
+        try:
+            slots.extend(map(record.telemetry.__getitem__, keys[n_nodes]))
+        except KeyError:
+            # Raise what build_fingerprints raises: no series at all for
+            # the metric, or the first node that lacks one.
+            _check_metric(record, metric)
+            for node in range(n_nodes):
+                record.series(metric, node)
+            raise
+    return slots
+
+
 def _batch_rounded_means(
     records: Sequence[ExecutionRecord],
     metric: str,
@@ -220,45 +225,57 @@ def _batch_rounded_means(
 ) -> np.ndarray:
     """Rounded interval means for every (record, node) slot, flattened.
 
-    All series across the whole batch that share period, origin, and
-    length (the common case — one cluster, one sampler config) are
-    stacked into a single matrix and reduced in one NumPy call.  A clean
-    row reduces over exactly the same contiguous samples as the scalar
-    path, so the result is bit-identical; rows containing dropout (NaN)
-    and series the fixed window overruns defer to the exact scalar
+    All series across the whole batch that share period and origin (the
+    common case — one cluster, one sampler config) and cover the window
+    are copied into a single matrix and reduced in one NumPy call.  A
+    clean row reduces over exactly the same contiguous samples as the
+    scalar path, so the result is bit-identical; rows containing dropout
+    (NaN) and series the fixed window overruns defer to the exact scalar
     routine.  Slots are ordered record-major, node-minor; NaN marks a
     node with no usable fingerprint.
     """
-    slots: List[TimeSeries] = []
-    groups: Dict[Tuple[float, float], List[int]] = {}
-    for record in records:
-        _check_metric(record, metric)
-        for node in range(record.n_nodes):
-            series = record.series(metric, node)
-            groups.setdefault((series.period, series.t0), []).append(len(slots))
-            slots.append(series)
+    slots = _node_series(records, metric)
+    if not slots:
+        return np.empty(0)
+    periods = list(map(attrgetter("period"), slots))
+    origins = list(map(attrgetter("t0"), slots))
+    arrays = list(map(attrgetter("values"), slots))
+    lengths = list(map(len, arrays))
+    if periods.count(periods[0]) == len(slots) and \
+            origins.count(origins[0]) == len(slots):
+        groups = {(periods[0], origins[0]): range(len(slots))}
+    else:
+        groups = {}
+        for pos, key in enumerate(zip(periods, origins)):
+            groups.setdefault(key, []).append(pos)
     means = np.empty(len(slots))
     for (period, t0), positions in groups.items():
         lo = max(int(np.ceil((start - t0) / period)), 0)
         hi = int(np.ceil((end - t0) / period))
-        stacked: List[int] = []
-        for pos in positions:
-            if hi <= lo or len(slots[pos].values) < hi:
-                # Window overruns (or misses) this series — the scalar
-                # routine clips and may mean a shorter window; defer.
+        if hi <= lo:
+            stacked: Sequence[int] = ()
+        elif min(map(lengths.__getitem__, positions)) >= hi:
+            stacked = positions
+        else:
+            stacked = [pos for pos in positions if lengths[pos] >= hi]
+        if len(stacked) < len(positions):
+            # The window overruns (or misses) these series — the scalar
+            # routine clips and may mean a shorter window; defer.
+            for pos in set(positions).difference(stacked):
                 means[pos] = slots[pos].interval_mean(start, end)
-            else:
-                stacked.append(pos)
         if not stacked:
             continue
-        matrix = np.stack([slots[pos].values[lo:hi] for pos in stacked])
+        windows = map(itemgetter(slice(lo, hi)),
+                      map(arrays.__getitem__, stacked))
+        matrix = np.concatenate(list(windows)).reshape(len(stacked), hi - lo)
         row_means = matrix.mean(axis=1)  # NaN rows poison themselves only
-        has_nan = np.isnan(row_means)
-        if has_nan.any():
+        for i in np.flatnonzero(np.isnan(row_means)).tolist():
             # Dropout: the scalar path compacts NaNs before the mean.
-            for i in np.nonzero(has_nan)[0]:
-                row_means[i] = slots[stacked[i]].interval_mean(start, end)
-        means[stacked] = row_means
+            row_means[i] = slots[stacked[i]].interval_mean(start, end)
+        if len(stacked) == len(slots):
+            means = row_means
+        else:
+            means[np.asarray(stacked, dtype=np.int64)] = row_means
     return round_depth_array(means, depth)
 
 
@@ -304,7 +321,8 @@ class BatchRecognizer:
         :class:`~repro.core.recognizer.EFDRecognizer`.
     backend / n_workers:
         :func:`~repro.parallel.pool.parallel_map` configuration for the
-        shard fan-out (``"serial"``, ``"thread"``, or ``"process"``).
+        session path's shard fan-out (``"serial"``, ``"thread"``, or
+        ``"process"``); the records path runs in-process NumPy.
     """
 
     def __init__(
@@ -332,21 +350,21 @@ class BatchRecognizer:
         self.backend = backend
         self.n_workers = n_workers
         self.stats = EngineStats()
-        self._index: Optional[Union[TupleIndex, ColumnarBatchIndex]] = None
+        self._index: Optional[RecordKernel] = None
         self._index_version: Optional[int] = None
 
     def warm(self, for_sessions: bool = False) -> "BatchRecognizer":
-        """Prebuild the lookup structures so the first batch pays no setup.
+        """Prebuild the lookup structures so the first batch pays less setup.
 
-        The two batch entry points resolve through different indexes:
-        :meth:`recognize_records` probes the ``(node, value)`` tuple (or
-        columnar) index, while :meth:`recognize_sessions` resolves full
-        fingerprint keys.  ``for_sessions`` selects which path to warm —
-        :class:`repro.serve.IngestService` warms the session path at
-        startup so its first micro-batch answers at steady-state
-        latency.  Idempotent; a no-op where the requested path has no
-        prebuildable structure (flat/sharded stores answer sessions
-        through plain dict lookups already).
+        :meth:`recognize_records` runs the ``(metric, interval)`` records
+        kernel, :meth:`recognize_sessions` resolves full fingerprint
+        keys; ``for_sessions`` selects which path to warm
+        (:class:`repro.serve.IngestService` warms the session path at
+        startup).  Idempotent.  On a filtered columnar store the records
+        kernel's sorted key table is deferred to the first batch with a
+        probe that passes the Bloom filters, so unknown-only traffic
+        never reads a column file; a remote store has nothing to
+        prebuild for records.
         """
         if for_sessions:
             if isinstance(self.dictionary, ColumnarDictionary):
@@ -355,8 +373,8 @@ class BatchRecognizer:
                 # filters and defer the build until a batch actually
                 # needs it.
                 self.dictionary.warm_index()
-        else:
-            self._tuple_index()
+        elif not isinstance(self.dictionary, RemoteShardBackend):
+            self._kernel()
         return self
 
     @classmethod
@@ -394,153 +412,44 @@ class BatchRecognizer:
 
         ``results[i]`` equals the sequential
         ``match_fingerprints(dictionary, build_fingerprints(records[i], ...))``.
-        The hot path never constructs (or hashes) a
-        :class:`~repro.core.fingerprint.Fingerprint`: node means are
-        reduced batch-wide, rounded in one vectorized call, and resolved
-        through a ``(node, value)`` tuple index built shard-parallel and
-        cached until the dictionary changes.
+        Node means are reduced batch-wide, rounded in one vectorized
+        call, and resolved and voted in integer-id space by the store's
+        :class:`~repro.engine.kernel.RecordKernel`.  A remote store keeps
+        no client-side copy: its records go through ``probe_many``, so
+        keys learned through any client are seen.
         """
-        start, end = self.interval
-        value_array = _batch_rounded_means(
-            records, self.metric, self.depth, start, end
+        if isinstance(self.dictionary, RemoteShardBackend):
+            return self._match(build_fingerprints_batch(
+                records, self.metric, self.depth, self.interval
+            ))
+        values = _batch_rounded_means(
+            records, self.metric, self.depth, *self.interval
         )
-        values = value_array.tolist()
-        table = self._tuple_index()
-        if isinstance(table, ColumnarBatchIndex):
-            # Columnar fast path: resolve every (node, value) probe of
-            # the batch in a handful of NumPy calls; the verdict loop
-            # below then probes a dict holding only this batch's hits.
-            node_array = (
-                np.concatenate(
-                    [np.arange(r.n_nodes, dtype=np.int64) for r in records]
-                )
-                if records
-                else np.empty(0, dtype=np.int64)
-            )
-            table = table.resolve_probes(node_array, value_array)
-        get = table.get
-        position = {
-            app: i for i, app in enumerate(self.dictionary.app_names())
-        }
-        n_apps = len(position)
-
-        def tie_rank(app: str) -> int:
-            return position.get(app, n_apps)
-
-        # Repetitions of one workload collapse onto the same rounded
-        # values (that is the EFD's whole pruning idea), so identical
-        # per-node value patterns recur across a batch; their verdict is
-        # computed once and re-materialized per record (fresh MatchResult
-        # with copied dicts — the sequential path returns independent
-        # objects, and callers may mutate votes/matched_labels in place).
-        memo: Dict[Tuple[object, ...], Tuple[MatchResult, int]] = {}
-        results: List[MatchResult] = []
-        n_hits = 0
-        pos = 0
-        for record in records:
-            n_nodes = record.n_nodes
-            pattern = tuple(
-                None if v != v else v for v in values[pos : pos + n_nodes]
-            )
-            pos += n_nodes
-            cached = memo.get(pattern)
-            if cached is not None:
-                template, hits = cached
-                result = MatchResult(
-                    ranked=template.ranked,
-                    votes=dict(template.votes),
-                    matched_labels=dict(template.matched_labels),
-                    n_fingerprints=template.n_fingerprints,
-                    n_missing=template.n_missing,
-                )
-            else:
-                # Inlined vote(): each matched key contributes one vote
-                # per distinct application in its label list (the index
-                # precomputed that set).  Property tests pin this to the
-                # canonical matcher, byte for byte.
-                votes: Dict[str, int] = {}
-                matched_labels: Dict[str, int] = {}
-                n_missing = 0
-                hits = 0
-                for node, value in enumerate(pattern):
-                    if value is None:  # no usable fingerprint on this node
-                        n_missing += 1
-                        continue
-                    entry = get((node, value))
-                    if entry is None:
-                        continue
-                    labels, apps = entry
-                    hits += 1
-                    for label in labels:
-                        matched_labels[label] = matched_labels.get(label, 0) + 1
-                    for app in apps:
-                        votes[app] = votes.get(app, 0) + 1
-                if votes:
-                    top = max(votes.values())
-                    tied = [a for a, c in votes.items() if c == top]
-                    if len(tied) > 1:
-                        tied.sort(key=tie_rank)
-                    ranked = tuple(tied)
-                else:
-                    ranked = ()
-                result = MatchResult(
-                    ranked=ranked,
-                    votes=votes,
-                    matched_labels=matched_labels,
-                    n_fingerprints=n_nodes - n_missing,
-                    n_missing=n_missing,
-                )
-                memo[pattern] = (result, hits)
-            n_hits += hits
-            results.append(result)
+        sizes = np.fromiter((r.n_nodes for r in records), np.int64,
+                            len(records))
+        results, n_hits = self._kernel().recognize(values, sizes)
         self._record_stats(results, n_hits)
         return results
 
-    def _tuple_index(self) -> Union[TupleIndex, "ColumnarBatchIndex"]:
-        """Build (or reuse) the batch lookup table.
-
-        Against a pristine :class:`ColumnarDictionary` this is the
-        vectorized rank-packed index built straight from the columns (no
-        shard hydration, no per-key Python work); otherwise the classic
-        per-key dict is built shard-parallel.
-        """
+    def _kernel(self) -> RecordKernel:
+        """The records kernel for this store version: from a columnar
+        store's columns, else from one ``entries()`` walk (a columnar
+        store mutated behind its delta-log counts an index demotion)."""
         version = self.dictionary.version
         if self._index is not None and self._index_version == version:
             return self._index
-        columnar = isinstance(self.dictionary, ColumnarDictionary)
-        if columnar:
-            index = self.dictionary.batch_index(self.metric, self.interval)
-            if index is not None:
-                self._index = index
-                self._index_version = version
-                return index
-            self.stats.record_index_demotion()
-        if isinstance(self.dictionary, ShardedDictionary):
-            tasks = [
-                (shard, self.metric, self.interval)
-                for shard in self.dictionary.shards
-            ]
-        else:
-            tasks = [(self.dictionary, self.metric, self.interval)]
-        partials = parallel_map(
-            _shard_tuple_index,
-            tasks,
-            backend=self.backend,
-            n_workers=self.n_workers,
-        )
-        index: TupleIndex = {}
-        for partial in partials:
-            index.update(partial)
-        if columnar:
-            # The shard scan cannot see pending delta-overlay keys.
-            index.update(
-                self.dictionary.overlay_tuple_entries(
-                    self.metric, self.interval
-                )
+        kernel = None
+        if isinstance(self.dictionary, ColumnarDictionary):
+            kernel = self.dictionary.batch_index(self.metric, self.interval)
+            if kernel is None:
+                self.stats.record_index_demotion()
+        if kernel is None:
+            kernel = RecordKernel.from_entries(
+                self.dictionary, self.metric, self.interval
             )
-        self._index = index
+        self._index = kernel
         self._index_version = version
-        return index
+        return kernel
 
     def predict(self, records: Sequence[ExecutionRecord]) -> List[str]:
         """Application name per record (``unknown_label`` on no match)."""

@@ -44,20 +44,19 @@ paper-faithful reference:
   shard is actually probed; until then a shard costs one small proxy
   object.  Point lookups hydrate exactly the owning shard.
 - **Vectorized lookup index** — :meth:`ColumnarDictionary.batch_index`
-  builds the batch engine's ``(node, value)`` table directly from the
-  columns: keys are rank-packed into one sorted ``uint64`` array, and a
-  whole batch's unique probes resolve with a handful of
-  :func:`numpy.searchsorted` calls instead of a million-entry Python
-  dict build.  ``(label list, distinct apps)`` entries materialize as
-  Python objects only for rows actually probed.
-  :meth:`ColumnarDictionary.lookup_many` does the same for full
-  fingerprint keys (the streaming-session batch path).
+  builds the records kernel (:mod:`repro.engine.kernel`) directly from
+  the columns: ``(node, value)`` keys are rank-packed into one sorted
+  ``uint64`` array, a whole batch's probes resolve with a handful of
+  :func:`numpy.searchsorted` calls, and hit rows' labels are read as
+  ids from the ``label_offsets``/``label_ids`` columns in place — no
+  per-row Python objects at all.
+  :meth:`ColumnarDictionary.lookup_many` resolves full fingerprint keys
+  the same way (the streaming-session batch path).
 - **First-class writes** — mutations route through the write-ahead
   delta-log (:mod:`repro.engine.deltalog`): every ``add`` appends one
   JSONL record to ``delta-log.jsonl`` and lands in a small in-memory
   overlay, and the batch paths answer from ``base ∪ overlay`` — the
-  rank-packed base indexes stay hot under a trickle of new learnings
-  instead of demoting to the generic dict index.
+  rank-packed base indexes stay hot under a trickle of new learnings.
   :meth:`ColumnarDictionary.compact_delta` folds the log back into the
   ``shard-NN.npz`` base (auto-triggered past a pending threshold, or
   via ``efd engine compact`` / serve shutdown).
@@ -91,7 +90,8 @@ import hashlib
 import io
 import json
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,6 +111,13 @@ from repro.engine.deltalog import (
     DeltaLog,
     PendingDeltaError,
     pending_records,
+)
+from repro.engine.kernel import (
+    ProbeTable,
+    RankPackedIndex,
+    RecordKernel,
+    expand_ranges,
+    value_bits,
 )
 from repro.engine.keyfilter import (
     DEFAULT_BITS_PER_KEY,
@@ -143,10 +150,6 @@ COLUMNAR_STORAGES = ("npz", "mmap")
 #: rank-packed index (the scan is one pass; the index build sorts).
 _SCAN_MAX = 256
 
-#: A resolved index entry: (label list, distinct apps) — what ``vote()``
-#: needs per matched key, precomputed once per probed row.
-Entry = Tuple[List[str], Tuple[str, ...]]
-
 
 def _checksum_bytes(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
@@ -176,16 +179,6 @@ def _key_order_filename(generation: int = 0) -> str:
     if generation:
         return f"key-order.g{generation}.npz"
     return _KEY_ORDER_NAME
-
-
-def _value_bits(values: np.ndarray) -> np.ndarray:
-    """float64 keys as order-stable int64 bit patterns.
-
-    ``+ 0.0`` first collapses ``-0.0`` onto ``+0.0`` so the two equal
-    fingerprint values share one bit pattern (dictionary keys are
-    equality-deduped, but a ``0.0`` probe must still hit a ``-0.0`` key).
-    """
-    return (np.asarray(values, dtype=np.float64) + 0.0).view(np.int64)
 
 
 def _narrowed(columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -295,7 +288,7 @@ def save_columnar(sharded, directory: str, generation: int = 0,
                 columns["metric_id"],
                 columns["interval_id"],
                 columns["node"],
-                _value_bits(columns["value"]),
+                value_bits(columns["value"]),
             )
             built = KeyFilter.build(
                 hashes, bits_per_key=filter_bits_per_key
@@ -499,186 +492,47 @@ def _as_is(efd: ExecutionFingerprintDictionary) -> ExecutionFingerprintDictionar
 # Vectorized lookup
 # ---------------------------------------------------------------------------
 
-class _RankPackedIndex:
-    """Exact-match lookup over composite int64 keys, all NumPy.
+class _ColumnTable:
+    """The base columns' :class:`~repro.engine.kernel.ProbeTable` for one
+    ``(metric, interval)``, built on first need.  On a filtered store a
+    resolve whose probes all fail the Bloom filters answers all-miss
+    without reading a column file."""
 
-    Each key component is rank-compressed against its sorted distinct
-    values, the ranks are packed into a single ``uint64`` per key, and
-    the packed keys are sorted once.  A batch of probes then resolves
-    with one :func:`numpy.searchsorted` per component plus one over the
-    packed table — no Python per-key work at all.
-
-    Raises :class:`OverflowError` if the rank-space product cannot fit
-    in 64 bits (astronomically large stores); callers fall back to the
-    Python dict index.
-    """
-
-    __slots__ = ("_uniques", "_packed", "_rows", "_n")
-
-    def __init__(self, components: Sequence[np.ndarray], rows: np.ndarray):
-        self._n = len(rows)
-        self._uniques: List[np.ndarray] = []
-        capacity = 1
-        packed = np.zeros(self._n, dtype=np.uint64)
-        for component in components:
-            component = np.asarray(component, dtype=np.int64)
-            values = np.unique(component)
-            capacity *= max(len(values), 1)
-            if capacity >= 1 << 64:
-                raise OverflowError("rank space exceeds 64 bits")
-            self._uniques.append(values)
-            ranks = np.searchsorted(values, component).astype(np.uint64)
-            packed = packed * np.uint64(max(len(values), 1)) + ranks
-        order = np.argsort(packed, kind="stable")
-        self._packed = packed[order]
-        self._rows = np.asarray(rows, dtype=np.int64)[order]
-
-    def resolve(self, probes: Sequence[np.ndarray]) -> np.ndarray:
-        """Row id per probe tuple; ``-1`` where no key matches."""
-        n_probes = len(probes[0]) if probes else 0
-        if self._n == 0 or n_probes == 0:
-            return np.full(n_probes, -1, dtype=np.int64)
-        valid = np.ones(n_probes, dtype=bool)
-        packed = np.zeros(n_probes, dtype=np.uint64)
-        for component, values in zip(probes, self._uniques):
-            component = np.asarray(component, dtype=np.int64)
-            if len(values) == 0:
-                return np.full(n_probes, -1, dtype=np.int64)
-            idx = np.searchsorted(values, component)
-            idx_c = np.minimum(idx, len(values) - 1)
-            valid &= (idx < len(values)) & (values[idx_c] == component)
-            packed = packed * np.uint64(len(values)) + idx_c.astype(np.uint64)
-        pos = np.searchsorted(self._packed, packed)
-        pos_c = np.minimum(pos, self._n - 1)
-        found = valid & (pos < self._n) & (self._packed[pos_c] == packed)
-        return np.where(found, self._rows[pos_c], np.int64(-1))
-
-
-class ColumnarBatchIndex:
-    """The batch engine's ``(node, value)`` table, backed by columns.
-
-    Replaces the per-key Python dict the generic path builds
-    (:func:`repro.engine.batch._shard_tuple_index`): construction is a
-    rank-pack + sort over the store's columns for one
-    ``(metric, interval)``, and :meth:`resolve_probes` answers a whole
-    batch's probes in a handful of NumPy calls.  ``(labels, apps)``
-    entries materialize lazily, only for rows actually hit, and are
-    cached across batches.
-    """
-
-    __slots__ = ("_owner", "_index")
-
-    def __init__(self, owner: "ColumnarDictionary", node: np.ndarray,
-                 bits: np.ndarray, rows: np.ndarray):
-        self._owner = owner
-        self._index = _RankPackedIndex([node, bits], rows)
-
-    def resolve_probes(
-        self, nodes: np.ndarray, values: np.ndarray
-    ) -> Dict[Tuple[int, float], Entry]:
-        """Map every hitting ``(node, value)`` probe to its entry.
-
-        ``values`` may contain NaN (nodes without a fingerprint) — those
-        probes are skipped.  Misses are simply absent, so the result's
-        ``.get`` is a drop-in for the dict index.
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        usable = np.nonzero(values == values)[0]
-        if len(usable) == 0:
-            return {}
-        rows = self._index.resolve(
-            [nodes[usable], _value_bits(values[usable])]
-        )
-        out: Dict[Tuple[int, float], Entry] = {}
-        hit = np.nonzero(rows >= 0)[0]
-        if len(hit) == 0:
-            return out
-        # One key maps to one row, so uniquing by row is uniquing by
-        # probe — the Python loop below runs once per *distinct* hit.
-        unique_rows, first = np.unique(rows[hit], return_index=True)
-        probe_at = usable[hit[first]]
-        for row, probe in zip(unique_rows.tolist(), probe_at.tolist()):
-            key = (int(nodes[probe]), float(values[probe]))
-            out[key] = self._owner._entry(row)
-        return out
-
-
-class _FilterGuardedBatchIndex(ColumnarBatchIndex):
-    """A batch index that consults the shard filters before existing.
-
-    Returned by :meth:`ColumnarDictionary.batch_index` on a filtered
-    store whose real ``(metric, interval)`` index has not been built
-    yet: a batch whose probes all fail the per-shard Bloom filters is
-    answered ``{}`` without reading a single column file, so a cold
-    store serving unknown-heavy record traffic never pays the column
-    read + rank-pack sort at all.  The first batch with a surviving
-    probe builds (and caches) the real index and delegates to it; under
-    rank-space overflow it delegates to the owner's exact dict fallback
-    instead of demoting the engine.
-    """
-
-    __slots__ = ("_key", "_metric_id", "_interval_id")
+    __slots__ = ("_owner", "_ids", "_table")
 
     def __init__(self, owner: "ColumnarDictionary",
                  key: Tuple[str, Tuple[float, float]]):
         self._owner = owner
-        self._key = key
-        self._metric_id = owner._metric_map.get(key[0])
-        self._interval_id = owner._interval_map.get(key[1])
+        self._ids = (owner._metric_map.get(key[0]),
+                     owner._interval_map.get(key[1]))
+        self._table: Optional[ProbeTable] = None
+        if None in self._ids:  # the store holds no key of this pair
+            empty = np.empty(0, dtype=np.int64)
+            self._table = ProbeTable(empty, empty, empty, [0], empty)
 
-    def resolve_probes(
-        self, nodes: np.ndarray, values: np.ndarray
-    ) -> Dict[Tuple[int, float], Entry]:
-        if self._metric_id is None or self._interval_id is None:
-            return {}
-        owner = self._owner
-        nodes = np.asarray(nodes, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if self._key in owner._batch_indices:
-            base = owner._batch_indices[self._key]
-        else:
-            usable = np.nonzero(values == values)[0]
-            if len(usable) == 0:
-                return {}
-            n = len(usable)
-            hashes = key_hashes(
-                np.full(n, self._metric_id, dtype=np.int64),
-                np.full(n, self._interval_id, dtype=np.int64),
-                nodes[usable],
-                _value_bits(values[usable]),
+    def build(self) -> ProbeTable:
+        if self._table is None:
+            columns = self._owner._concat()
+            rows = np.flatnonzero((columns["metric_id"] == self._ids[0])
+                                  & (columns["interval_id"] == self._ids[1]))
+            self._table = ProbeTable(
+                columns["node"][rows], value_bits(columns["value"][rows]),
+                rows, columns["label_offsets"], columns["label_ids"],
             )
-            if not owner._filter_might(hashes).any():
-                return {}
-            base = owner._built_batch_index(self._key)
-        if base is None:
-            return owner._overflow_resolve(self._key, nodes, values)
-        return base.resolve_probes(nodes, values)
+        return self._table
 
+    def resolve(self, nodes: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        if self._table is None and not self._owner._filter_might(key_hashes(
+            np.full(len(nodes), self._ids[0]),
+            np.full(len(nodes), self._ids[1]), nodes, bits,
+        )).any():
+            return np.full(len(nodes), -1, dtype=np.int64)
+        return self.build().resolve(nodes, bits)
 
-class _PatchedBatchIndex(ColumnarBatchIndex):
-    """A pristine base index plus the delta overlay's few keys.
-
-    The expensive half — the rank-packed, sorted base table — is shared
-    and never rebuilt; only the patch dict (one entry per overlay key of
-    this (metric, interval), with fully merged ``base ∪ overlay``
-    labels) is recomputed when the overlay changes.  Patch entries
-    simply override base hits, so a probe that matches an updated key
-    sees the merged labels and a probe of a brand-new key hits at all.
-    """
-
-    __slots__ = ("_base", "_patch")
-
-    def __init__(self, base: ColumnarBatchIndex, patch: Dict[Tuple[int, float], Entry]):
-        self._base = base
-        self._patch = patch
-
-    def resolve_probes(
-        self, nodes: np.ndarray, values: np.ndarray
-    ) -> Dict[Tuple[int, float], Entry]:
-        out = self._base.resolve_probes(nodes, values)
-        out.update(self._patch)
-        return out
+    def gather(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        if self._table is None:  # nothing resolved, so no rows to read
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return self._table.gather(rows)
 
 
 def _merge_labels(base: List[str], extra: Sequence[str]) -> List[str]:
@@ -723,8 +577,9 @@ class ColumnarDictionary(ShardedDictionary):
     (``store.shards[i].add(...)``) bypasses the log, so the base column
     caches no longer reflect live state — ``batch_index`` /
     ``lookup_many`` then return ``None``, the engine counts an
-    ``index_demotion`` and answers through the generic dict-index path,
-    which merges the overlay explicitly.
+    ``index_demotion`` and answers from the live shards (its records
+    kernel built from :meth:`entries`), merging the overlay
+    explicitly.
     """
 
     def __init__(self, directory: str, manifest: dict,
@@ -808,8 +663,6 @@ class ColumnarDictionary(ShardedDictionary):
             int, Tuple[np.ndarray, np.ndarray]
         ] = {}
         self._shard_starts: Optional[np.ndarray] = None
-        self._overflow_dicts: Dict[object, Dict] = {}
-        self._guard_indices: Dict[object, "_FilterGuardedBatchIndex"] = {}
         self._label_order = {label: None for label in self._label_table}
         self._app_order: Dict[str, None] = {}
         for label in self._label_table:
@@ -817,15 +670,15 @@ class ColumnarDictionary(ShardedDictionary):
         self._key_shard = key_shard
         self._key_pos = key_pos
         self._key_order_cache: Optional[Dict[Fingerprint, None]] = None
+        self._routing_checked = self.n_shards == 1
         self._metric_map = {m: i for i, m in enumerate(self._metric_table)}
         self._interval_map = {
             iv: i for i, iv in enumerate(self._interval_table)
         }
         self._concat_cache: Optional[Dict[str, np.ndarray]] = None
-        self._batch_indices: Dict[object, Optional[ColumnarBatchIndex]] = {}
+        self._column_tables: Dict[object, _ColumnTable] = {}
         self._full_index: object = None
         self._row_labels: Dict[int, List[str]] = {}
-        self._row_entries: Dict[int, Entry] = {}
         # -- delta-log state -------------------------------------------------
         # Preserves version monotonicity across in-place compactions so
         # engine-side caches keyed on `version` can never alias a stale
@@ -841,7 +694,10 @@ class ColumnarDictionary(ShardedDictionary):
         # (shard_sizes / occupancy gauges must include them).
         self._delta_new_keys: Dict[Fingerprint, None] = {}
         self._new_per_shard: List[int] = [0] * self.n_shards
-        self._patch_cache: Dict[object, Dict[Tuple[int, float], Entry]] = {}
+        # Records-kernel patch state: overlay keys scanned per pair, and
+        # merged label ids per overlay key (dropped when it is written).
+        self._overlay_scan: Dict[object, Tuple[int, List[Fingerprint]]] = {}
+        self._overlay_ids: Dict[Fingerprint, List[int]] = {}
         replayed = self._delta.replay()
         if replayed:
             # One vectorized membership pass over the distinct replayed
@@ -917,13 +773,18 @@ class ColumnarDictionary(ShardedDictionary):
             ) from exc
         if self._validate:
             for fp in efd._store:
-                owner = shard_index(fp, self.n_shards)
-                if owner != index:
-                    raise ValueError(
-                        f"shard file {name!r} holds key {fp} that belongs "
-                        f"to shard {owner} — files renamed or swapped?"
-                    )
+                self._check_owner(fp, index)
         return efd
+
+    def _check_owner(self, fingerprint: Fingerprint, index: int) -> None:
+        """Raise unless ``fingerprint`` routes to shard ``index``."""
+        owner = shard_index(fingerprint, self.n_shards)
+        if owner != index:
+            raise ValueError(
+                f"shard file {self._files[index].name!r} holds key "
+                f"{fingerprint} that belongs to shard {owner} — files "
+                f"renamed or swapped?"
+            )
 
     # -- the delta-log write path --------------------------------------------
     @property
@@ -966,7 +827,7 @@ class ColumnarDictionary(ShardedDictionary):
             self._note_delta_key(fingerprint)
         self._label_order.setdefault(label, None)
         self._app_order.setdefault(app_of_label(label), None)
-        self._patch_cache.clear()
+        self._overlay_ids.pop(fingerprint, None)
         if self._delta.over_threshold:
             self.compact_delta()
 
@@ -1116,29 +977,37 @@ class ColumnarDictionary(ShardedDictionary):
         """Keys with pending overlay observations (append order)."""
         return [fp for fp, _ in self._delta.overlay.entries()]
 
-    def overlay_tuple_entries(
-        self, metric: str, interval: Tuple[float, float]
-    ) -> Dict[Tuple[int, float], Entry]:
-        """Merged ``(node, value)`` entries for the overlay's keys of one
-        (metric, interval), computed from *live* state via :meth:`lookup`
-        — the patch the generic fallback dict index needs, valid even
-        when a shard was mutated behind the delta-log.
-        """
+    def entries(self) -> Iterator[Tuple[Fingerprint, List[str]]]:
+        """All (key, labels) pairs in global insertion order, ``base ∪
+        overlay``: base labels read in bulk from the label columns, then
+        the overlay's new keys.  After a direct shard mutation the
+        columns are stale and the walk reads the live shards instead."""
+        if self._base_mutated():
+            yield from super().entries()
+            return
+        if self._validate and not self._routing_checked:
+            # What hydration checks per shard, once for the whole walk.
+            for fp, shard in zip(self._key_order, self._key_shard.tolist()):
+                self._check_owner(fp, shard)
+            self._routing_checked = True
+        columns = self._concat()
+        rows = self._shard_start_rows()[self._key_shard] + self._key_pos
+        offsets = columns["label_offsets"]
+        starts = offsets[rows]
+        lengths = offsets[rows + 1] - starts
+        names = np.asarray(self._label_table, dtype=object)[
+            columns["label_ids"][expand_ranges(starts, lengths)]
+        ].tolist()
         overlay = self._delta.overlay
-        out: Dict[Tuple[int, float], Entry] = {}
-        if len(overlay) == 0:
-            return out
-        key_interval = (float(interval[0]) + 0.0, float(interval[1]) + 0.0)
-        for fp, _ in overlay.entries():
-            if str(fp.metric) != str(metric):
-                continue
-            if (float(fp.interval[0]) + 0.0,
-                    float(fp.interval[1]) + 0.0) != key_interval:
-                continue
-            labels = self.lookup(fp)
-            apps = tuple(dict.fromkeys(app_of_label(l) for l in labels))
-            out[(fp.node, fp.value)] = (labels, apps)
-        return out
+        pos = 0
+        for fp, n in zip(self._key_order, lengths.tolist()):
+            labels = names[pos:pos + n]
+            pos += n
+            if len(overlay) and fp in overlay:
+                labels = _merge_labels(labels, overlay.lookup(fp))
+            yield fp, labels
+        for fp in self._delta_new_keys:
+            yield fp, overlay.lookup(fp)
 
     def stats(self) -> DictionaryStats:
         if not self._delta.pending:
@@ -1215,32 +1084,16 @@ class ColumnarDictionary(ShardedDictionary):
             self._row_labels[row] = found
         return found
 
-    def _entry(self, row: int) -> Entry:
-        found = self._row_entries.get(row)
-        if found is None:
-            labels = self._labels_of_row(row)
-            apps = tuple(dict.fromkeys(app_of_label(l) for l in labels))
-            found = (labels, apps)
-            self._row_entries[row] = found
-        return found
-
     def batch_index(
         self, metric: str, interval: Tuple[float, float]
-    ) -> Optional[ColumnarBatchIndex]:
-        """Vectorized ``(node, value)`` index for one (metric, interval).
+    ) -> Optional[RecordKernel]:
+        """The records kernel for one (metric, interval), from the columns.
 
-        With pending overlay keys the sorted base table is reused as-is
-        and wrapped with a per-key patch (:class:`_PatchedBatchIndex`)
-        — a write trickle never rebuilds the expensive half.  On a
-        filtered store the returned index is additionally guarded
-        (:class:`_FilterGuardedBatchIndex`): the real index is not
-        built — no column file is even read — until a batch carries a
-        probe that survives the per-shard Bloom filters, so unknown-
-        heavy record traffic resolves at filter speed.  ``None`` when a
-        shard was mutated behind the delta-log (the base columns are
-        stale) or the rank space cannot pack into 64 bits on an
-        unfiltered store — callers fall back to the generic dict index
-        and count a demotion.
+        The sorted base table is built once per pair (on a filtered store
+        only once a probe passes the Bloom filters) and shared by every
+        kernel; the overlay's keys ride along as a small patch table
+        whose new labels and apps extend the id tables.  ``None`` when a
+        shard was mutated behind the delta-log (stale columns).
         """
         if self._base_mutated():
             return None
@@ -1248,118 +1101,58 @@ class ColumnarDictionary(ShardedDictionary):
             str(metric),
             (float(interval[0]) + 0.0, float(interval[1]) + 0.0),
         )
-        if self._filters is not None:
-            built = self._batch_indices.get(key)
-            if built is not None:
-                base: Optional[ColumnarBatchIndex] = built
-            else:
-                base = self._guard_indices.get(key)
-                if base is None:
-                    base = _FilterGuardedBatchIndex(self, key)
-                    self._guard_indices[key] = base
-        else:
-            base = self._built_batch_index(key)
+        base = self._column_tables.get(key)
         if base is None:
-            return None
-        patch = self._overlay_patch(key)
-        if not patch:
-            return base
-        return _PatchedBatchIndex(base, patch)
+            base = self._column_tables[key] = _ColumnTable(self, key)
+        if self._filters is None:
+            base.build()
+        return RecordKernel(
+            base, self.labels(), self.app_names(),
+            patch=self._overlay_table(key, base),
+        )
 
-    def _built_batch_index(
-        self, key: Tuple[str, Tuple[float, float]]
-    ) -> Optional[ColumnarBatchIndex]:
-        """The real (eagerly built) index for ``key``; ``None`` on
-        rank-space overflow.  Cached — the sort runs once per key."""
-        if key in self._batch_indices:
-            return self._batch_indices[key]
-        columns = self._concat()
-        metric_id = self._metric_map.get(key[0])
-        interval_id = self._interval_map.get(key[1])
-        if metric_id is None or interval_id is None:
-            rows = np.empty(0, dtype=np.int64)
-        else:
-            rows = np.nonzero(
-                (columns["metric_id"] == metric_id)
-                & (columns["interval_id"] == interval_id)
-            )[0].astype(np.int64)
-        try:
-            base: Optional[ColumnarBatchIndex] = ColumnarBatchIndex(
-                self,
-                columns["node"][rows],
-                _value_bits(columns["value"][rows]),
-                rows,
-            )
-        except OverflowError:
-            base = None
-        self._batch_indices[key] = base
-        return base
-
-    def _overflow_resolve(
-        self, key: Tuple[str, Tuple[float, float]],
-        nodes: np.ndarray, values: np.ndarray,
-    ) -> Dict[Tuple[int, float], Entry]:
-        """Exact ``(node, value)`` resolution without rank-packing.
-
-        The guard's fallback when the real index cannot be built
-        (rank-space overflow — astronomically large stores): a plain
-        dict over the key's rows, built once from the columns.
-        """
-        table = self._overflow_dicts.get(key)
-        if table is None:
-            table = {}
-            columns = self._concat()
-            metric_id = self._metric_map.get(key[0])
-            interval_id = self._interval_map.get(key[1])
-            if metric_id is not None and interval_id is not None:
-                rows = np.nonzero(
-                    (columns["metric_id"] == metric_id)
-                    & (columns["interval_id"] == interval_id)
-                )[0]
-                row_nodes = columns["node"][rows]
-                row_values = columns["value"][rows] + 0.0
-                for n_, v_, r_ in zip(
-                    row_nodes.tolist(), row_values.tolist(), rows.tolist()
-                ):
-                    table[(int(n_), float(v_))] = int(r_)
-            self._overflow_dicts[key] = table
-        out: Dict[Tuple[int, float], Entry] = {}
-        usable = np.nonzero(values == values)[0]
-        for i in usable.tolist():
-            probe = (int(nodes[i]), float(values[i]))
-            row = table.get(probe)
-            if row is not None:
-                out[probe] = self._entry(row)
-        return out
-
-    def _overlay_patch(
-        self, key: Tuple[str, Tuple[float, float]]
-    ) -> Dict[Tuple[int, float], Entry]:
-        """Merged entries for the overlay's keys of one (metric, interval).
-
-        Invalidated wholesale on every write (the overlay is small, so
-        a rebuild is O(pending) against the vectorized base resolve).
-        """
+    def _overlay_table(
+        self, key: Tuple[str, Tuple[float, float]], base: _ColumnTable
+    ) -> Optional[ProbeTable]:
+        """The overlay's keys of one (metric, interval) with their merged
+        label ids (``None`` without any).  Incremental: overlay keys only
+        append until a compaction reloads the store, and a key's merged
+        labels are recomputed only after a write to it."""
         overlay = self._delta.overlay
-        if len(overlay) == 0:
-            return {}
-        cached = self._patch_cache.get(key)
-        if cached is not None:
-            return cached
-        metric, interval = key
-        fps = [
-            fp for fp, _ in overlay.entries()
-            if str(fp.metric) == metric
-            and (float(fp.interval[0]) + 0.0,
-                 float(fp.interval[1]) + 0.0) == interval
-        ]
-        patch: Dict[Tuple[int, float], Entry] = {}
-        for fp, base_labels in zip(fps, self._base_labels_many(fps)):
-            labels = _merge_labels(base_labels, overlay.lookup(fp))
-            apps = tuple(dict.fromkeys(app_of_label(l) for l in labels))
-            patch[(int(fp.node), float(fp.value))] = (labels, apps)
-        self._patch_cache[key] = patch
-        return patch
+        scanned, fps = self._overlay_scan.get(key, (0, []))
+        if scanned < len(overlay):
+            metric, interval = key
+            for fp in islice(overlay._store, scanned, None):
+                if str(fp.metric) == metric and (
+                    float(fp.interval[0]) + 0.0,
+                    float(fp.interval[1]) + 0.0,
+                ) == interval:
+                    fps.append(fp)
+            self._overlay_scan[key] = (len(overlay), fps)
+        if not fps:
+            return None
+        stale = [fp for fp in fps if fp not in self._overlay_ids]
+        if stale:
+            label_id = {label: i for i, label in enumerate(self._label_order)}
+            nodes = np.fromiter((fp.node for fp in stale), np.int64, len(stale))
+            rows = base.resolve(nodes, value_bits(np.fromiter(
+                (fp.value for fp in stale), np.float64, len(stale)
+            )))
+            lengths = np.zeros(len(stale), dtype=np.int64)
+            lengths[rows >= 0], ids = base.gather(rows[rows >= 0])
+            ids = ids.tolist()
+            pos = 0
+            for fp, n in zip(stale, lengths.tolist()):
+                merged = ids[pos:pos + n]
+                pos += n
+                for label in overlay.lookup(fp):
+                    if label_id[label] not in merged:
+                        merged.append(label_id[label])
+                self._overlay_ids[fp] = merged
+        return ProbeTable.from_lists(
+            [fp.node for fp in fps], [fp.value for fp in fps],
+            [self._overlay_ids[fp] for fp in fps],
+        )
 
     def _ensure_full_index(self) -> object:
         """The base columns' full-key index (``"overflow"`` sentinel when
@@ -1367,12 +1160,12 @@ class ColumnarDictionary(ShardedDictionary):
         if self._full_index is None:
             columns = self._concat()
             try:
-                self._full_index = _RankPackedIndex(
+                self._full_index = RankPackedIndex(
                     [
                         columns["metric_id"],
                         columns["interval_id"],
                         columns["node"],
-                        _value_bits(columns["value"]),
+                        value_bits(columns["value"]),
                     ],
                     np.arange(len(columns["node"]), dtype=np.int64),
                 )
@@ -1399,7 +1192,7 @@ class ColumnarDictionary(ShardedDictionary):
             )
             node[i] = int(fp.node)
             value[i] = float(fp.value)
-        return metric_id, interval_id, node, _value_bits(value)
+        return metric_id, interval_id, node, value_bits(value)
 
     def _base_resolve(
         self, fingerprints: Sequence[Fingerprint]
@@ -1465,7 +1258,7 @@ class ColumnarDictionary(ShardedDictionary):
             np.asarray([metric_id], dtype=np.int64),
             np.asarray([interval_id], dtype=np.int64),
             np.asarray([int(fingerprint.node)], dtype=np.int64),
-            _value_bits(np.asarray([float(fingerprint.value)])),
+            value_bits(np.asarray([float(fingerprint.value)])),
         )
         return not bool(self._filter_might(hashes)[0])
 
@@ -1503,7 +1296,7 @@ class ColumnarDictionary(ShardedDictionary):
                 columns["metric_id"],
                 columns["interval_id"],
                 columns["node"],
-                _value_bits(columns["value"]),
+                value_bits(columns["value"]),
             )
             order = np.argsort(hashes, kind="stable")
             found = (hashes[order], order)
@@ -1581,7 +1374,7 @@ class ColumnarDictionary(ShardedDictionary):
                         int(columns["metric_id"][local]),
                         int(columns["interval_id"][local]),
                         int(columns["node"][local]),
-                        int(_value_bits(columns["value"][local:local + 1])[0]),
+                        int(value_bits(columns["value"][local:local + 1])[0]),
                     )
                     if got == want:
                         out_shard[i] = s
@@ -1655,20 +1448,6 @@ class ColumnarDictionary(ShardedDictionary):
             "fp_bound": max((f.fp_bound for f in self._filters),
                             default=0.0),
         }
-
-    def _base_labels_many(
-        self, fingerprints: Sequence[Fingerprint]
-    ) -> List[List[str]]:
-        """Base-column label list per fingerprint ([] on miss)."""
-        rows = self._base_resolve(fingerprints)
-        if rows is None:
-            return [
-                ShardedDictionary.lookup(self, fp) for fp in fingerprints
-            ]
-        return [
-            list(self._labels_of_row(int(row))) if row >= 0 else []
-            for row in rows.tolist()
-        ]
 
     def lookup_many(
         self, fingerprints: Sequence[Fingerprint]

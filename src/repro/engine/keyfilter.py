@@ -161,7 +161,7 @@ def key_hashes(
 
     Components are the same int64 arrays the rank-packed full-key index
     consumes (``value_bits`` from
-    :func:`repro.engine.columnar._value_bits`, ids from the manifest's
+    :func:`repro.engine.kernel.value_bits`, ids from the manifest's
     interned tables), so a probe hashes identically to the stored key
     it targets.  Components are folded sequentially through the
     splitmix64 finalizer — one mix per component, no Python per-key

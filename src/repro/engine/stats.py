@@ -41,9 +41,9 @@ class EngineStats:
     n_ties: int = 0             # executions whose verdict was a tie array
     n_unknowns: int = 0         # executions with zero matches
     max_batch: int = 0          # largest batch resolved in one call
-    index_demotions: int = 0    # batches answered by the generic dict index
-                                # because a store's vectorized index no
-                                # longer reflected its live state
+    index_demotions: int = 0    # fallbacks from a store's column index
+                                # because its columns no longer
+                                # reflected its live state
     shard_occupancy: List[int] = field(default_factory=list)
     # -- serving counters (fed by repro.serve.IngestService) ------------------
     queue_depth: int = 0        # ingest-queue depth at the last submit
@@ -127,11 +127,12 @@ class EngineStats:
             self.shard_occupancy = list(shard_occupancy)
 
     def record_index_demotion(self) -> None:
-        """One batch fell back from a store's vectorized lookup index to
-        the generic dict index (e.g. a columnar shard mutated behind the
-        delta-log, or a rank-space overflow).  A persistently non-zero
-        counter on a columnar deployment means the fast path is lost —
-        re-save or compact the store."""
+        """A lookup fell back from a store's vectorized column index: a
+        session batch answered through the per-shard dict path, or a
+        records kernel rebuilt from ``entries()`` (e.g. a columnar shard
+        mutated behind the delta-log).  A persistently non-zero counter
+        on a columnar deployment means the fast path is lost — re-save
+        or compact the store."""
         self.index_demotions += 1
 
     # -- serving-side recorders ----------------------------------------------
@@ -543,9 +544,9 @@ class EngineStats:
         ]
         if self.index_demotions:
             lines.append(
-                f"demotions   : {self.index_demotions} batch(es) answered by "
-                f"the generic dict index (vectorized index stale — re-save "
-                f"or compact the store)"
+                f"demotions   : {self.index_demotions} fallback(s) from the "
+                f"column index (columns stale — re-save or compact the "
+                f"store)"
             )
         if self.shard_occupancy:
             total = sum(self.shard_occupancy) or 1

@@ -658,7 +658,7 @@ class IngestService:
 
     def _recognize(self, sessions: List[StreamSession]) -> List[MatchResult]:
         """Executor entry point.  The lock serializes engine access:
-        EngineStats and the cached tuple index are loop-confined
+        EngineStats and the engine's lookup caches are loop-confined
         everywhere else, and micro-batches may overlap."""
         with self._engine_lock:
             return self.engine.recognize_sessions(sessions, force=True)

@@ -507,6 +507,54 @@ class TestLazyHydration:
         assert "zz_Q" in loaded.lookup(victim)
 
 
+class TestBulkEntries:
+    @pytest.mark.parametrize("storage", ("npz", "mmap"))
+    def test_walk_equals_sharded_reference_with_pending_overlay(
+        self, storage, tmp_path
+    ):
+        sharded = _sample_sharded()
+        directory = str(tmp_path / "col")
+        save_columnar(sharded, directory, storage=storage)
+        loaded = load_columnar(directory)
+        stored = [fp for fp, _ in sharded.entries()]
+        writes = [
+            (stored[3], "zz_Q"),       # new label (and app) on a base key
+            (stored[5], "ft_X"),       # repeat of a label it may hold
+            (_fp(98765.0, 1), "new_R"),
+            (_fp(98765.0, 1), "ft_Y"),
+            (_fp(12.5, 3), "mg_Y"),
+        ]
+        for fp, label in writes:
+            loaded.add(fp, label)
+            sharded.add(fp, label)
+        assert loaded.delta_pending == len(writes)
+
+        def no_point_lookups(fingerprint):
+            raise AssertionError("entries() must not look keys up one by one")
+
+        loaded.lookup = no_point_lookups
+        assert list(loaded.entries()) == list(sharded.entries())
+        assert loaded._row_labels == {}
+        assert not any(shard.hydrated for shard in loaded.shards)
+        del loaded.lookup
+        # Behind-the-log mutation: the walk reads the live shards.
+        loaded.shards[shard_index(stored[0], 4)].add(stored[0], "dd_D")
+        sharded.add(stored[0], "dd_D")
+        assert list(loaded.entries()) == list(sharded.entries())
+
+    def test_reopened_walk_replays_the_overlay(self, tmp_path):
+        sharded = _sample_sharded(n_shards=2)
+        directory = str(tmp_path / "col")
+        save_columnar(sharded, directory)
+        loaded = load_columnar(directory)
+        for fp, label in ((_fp(55.0, 2), "q_Q"), (_fp(100.0, 0), "q_R")):
+            loaded.add(fp, label)
+            sharded.add(fp, label)
+        assert list(load_columnar(directory).entries()) == list(
+            sharded.entries()
+        )
+
+
 class TestConversion:
     def test_compact_then_expand_restores_identical_files(self, tmp_path):
         sharded = _sample_sharded()

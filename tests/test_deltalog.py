@@ -31,7 +31,7 @@ from repro.engine import (
     pending_records,
     save_columnar,
 )
-from repro.engine.columnar import ColumnarBatchIndex
+from repro.engine.columnar import _ColumnTable
 from repro.engine.deltalog import SEGMENT_NAME, segment_path
 
 
@@ -92,9 +92,9 @@ class TestWriteTrickleKeepsIndexHot:
                 for r in records
             ]
             assert engine.recognize_records(records) == expected
-            # The engine is still answering through the columnar index,
-            # not the generic dict fallback.
-            assert isinstance(engine._index, ColumnarBatchIndex)
+            # The engine is still answering through the column table,
+            # not a kernel rebuilt from entries().
+            assert isinstance(engine._index._base, _ColumnTable)
         assert engine.stats.index_demotions == 0
         assert col.pristine
         assert not any(shard.hydrated for shard in col.shards)
@@ -115,7 +115,7 @@ class TestWriteTrickleKeepsIndexHot:
                 got = col.lookup_many(probes + [fp])
                 assert got is not None
                 assert got == [flat.lookup(p) for p in probes + [fp]]
-                assert engine._tuple_index() is not None
+                assert engine._kernel() is not None
         assert engine.stats.index_demotions == 0
         assert col.delta_pending == 1000
         assert col.pristine
@@ -341,7 +341,7 @@ class TestDemotionCounter:
         flat = _small_flat()
         col, _ = _columnar(tmp_path, flat, n_shards=4)
         engine = BatchRecognizer(col, metric="m", depth=2)
-        assert engine._tuple_index() is not None
+        assert engine._kernel() is not None
         assert engine.stats.index_demotions == 0
         victim = next(fp for fp, _ in flat.entries())
         col.shards[0].merge(col.shards[0])  # no-op merge still bumps version
@@ -386,9 +386,12 @@ class TestDemotionCounter:
         )
         assert results == expected
         assert engine.stats.index_demotions >= 1
-        index = engine._tuple_index()
-        assert isinstance(index, dict)     # generic fallback
-        assert index[(overlay_key.node, overlay_key.value)][0] == ["zz_Q"]
+        kernel = engine._kernel()
+        assert not isinstance(kernel._base, _ColumnTable)  # from entries()
+        probe = (overlay_key.node, overlay_key.value)
+        assert kernel.resolve_probes([probe[0]], [probe[1]])[probe][0] == [
+            "zz_Q"
+        ]
 
 
 class TestCompactionCrashSafety:

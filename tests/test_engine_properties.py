@@ -460,8 +460,8 @@ class TestColumnarBackendEqualsFlat:
                 store.add(fp, "zz_Q")
         after = engine.recognize_records(records[:1])
         assert "zz" in after[0].votes
-        # The mutated store keeps answering correctly via the fallback
-        # dict index, and matches a flat dictionary grown the same way.
+        # The written store keeps answering correctly through its delta
+        # overlay, and matches a flat dictionary grown the same way.
         flat = recognizer.dictionary_
         grown = ShardedDictionary.from_flat(flat, 1).to_flat()
         for fp in fps:
@@ -843,6 +843,85 @@ class TestRemoteEqualsFlatUnderInterleavings:
                 if fp is not None and flat.lookup(fp)
             )
             remote.close()
+        finally:
+            for thread in threads:
+                thread.stop()
+
+
+    @pytest.mark.parametrize("storage", ("npz", "mmap"))
+    def test_multi_writer_records_interleavings(self, storage, tmp_path):
+        """Two clients learn through the same hosts; each one's
+        long-lived records engine stays element-wise equal to the flat
+        oracle holding both clients' writes — no client-side copy of
+        the dictionary goes stale behind the other writer."""
+        import numpy as np
+
+        from repro.data.dataset import ExecutionRecord
+        from repro.engine.remote import RemoteShardBackend
+        from repro.telemetry.timeseries import TimeSeries
+
+        metric, interval = _METRICS[0], _INTERVALS[0]
+        rng = random.Random(2000 + (storage == "mmap"))
+        flat = ExecutionFingerprintDictionary()
+        sharded = ShardedDictionary(self.N_SHARDS)
+        for fp, label in _random_pairs(rng, 150):
+            flat.add(fp, label)
+            sharded.add(fp, label)
+        threads, specs = self._spawn(tmp_path, storage, 2, sharded)
+
+        def record(i):
+            values = []
+            for node in range(4):
+                known = [fp.value for fp, _ in flat.entries()
+                         if fp.metric == metric and fp.interval == interval
+                         and fp.node == node]
+                if known and rng.random() < 0.7:
+                    values.append(rng.choice(known))
+                else:
+                    values.append(float(rng.randrange(1, 200) * 100))
+            telemetry = {
+                (metric, node): TimeSeries(np.full(150, value))
+                for node, value in enumerate(values)
+            }
+            return ExecutionRecord(
+                record_id=i, app_name="job", input_size="X", n_nodes=4,
+                duration=150.0, telemetry=telemetry,
+            )
+
+        try:
+            # Filter mirrors off: a mirror answers "absent" locally
+            # until one of its client's own wire replies reports the
+            # other writer's newer store version (a lag of up to one
+            # batch, timing-dependent) — this row pins the records path.
+            clients = [
+                RemoteShardBackend(specs, n_shards=self.N_SHARDS,
+                                   rng=random.Random(k),
+                                   filter_mirrors=False)
+                for k in range(2)
+            ]
+            engines = [
+                BatchRecognizer(c, metric=metric, depth=3,
+                                interval=interval).warm()
+                for c in clients
+            ]
+            for step in range(6):
+                writer = clients[step % 2]
+                for fp, label in _random_pairs(rng, rng.randrange(1, 4)):
+                    fp = Fingerprint(metric=metric, node=fp.node,
+                                     interval=interval, value=fp.value)
+                    flat.add(fp, label)
+                    writer.add(fp, label)
+                records = [record(i) for i in range(8)]
+                expected = [
+                    match_fingerprints(
+                        flat, build_fingerprints(r, metric, 3, interval)
+                    )
+                    for r in records
+                ]
+                for engine in engines:
+                    assert engine.recognize_records(records) == expected
+            for client in clients:
+                client.close()
         finally:
             for thread in threads:
                 thread.stop()

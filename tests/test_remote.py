@@ -579,6 +579,55 @@ class TestClientTables:
                 thread.stop()
 
 
+class TestRecordsPathAcrossClients:
+    def test_long_lived_engine_sees_keys_learned_by_another_client(
+        self, tmp_path
+    ):
+        # Client A's records engine must not answer from a copy of the
+        # dictionary cached against A's own version counter: a key
+        # learned through client B is recognised on A's next batch.
+        import numpy as np
+
+        from repro.core.fingerprint import build_fingerprints
+        from repro.data.dataset import ExecutionRecord
+        from repro.engine import BatchRecognizer, load_columnar, save_columnar
+        from repro.telemetry.timeseries import TimeSeries
+
+        _, stores = _seed_stores(1)
+        directory = str(tmp_path / "col")
+        save_columnar(stores[0], directory)
+        interval = (60.0, 120.0)
+        record = ExecutionRecord(
+            record_id=0, app_name="late", input_size="X", n_nodes=2,
+            duration=150.0, telemetry={
+                ("m0", node): TimeSeries(np.full(150, 7300.0 + 100 * node))
+                for node in range(2)
+            },
+        )
+        with ShardServerThread(load_columnar(directory),
+                               n_shards=3) as thread:
+            # Mirrors off: a fresh filter mirror may answer the new key
+            # "absent" until A's next wire reply reports the newer
+            # store version; this test pins the records path itself.
+            a = _client([f"all@{thread.endpoint}"], filter_mirrors=False)
+            b = _client([f"all@{thread.endpoint}"])
+            engine = BatchRecognizer(
+                a, metric="m0", depth=3, interval=interval
+            ).warm()
+            assert engine.recognize_records([record])[0].is_unknown
+            version = a.version
+            for fp in build_fingerprints(record, "m0", 3, interval):
+                b.add(fp, "late_X")
+            assert a.version == version      # nothing changed locally
+            verdict = engine.recognize_records([record])[0]
+            assert verdict.ranked == ("late",)
+            assert verdict.votes == {"late": 2}
+            assert verdict.matched_labels == {"late_X": 2}
+            assert engine.predict([record]) == ["late"]
+            a.close()
+            b.close()
+
+
 # ---------------------------------------------------------------------------
 # CLI round trip: efd shardserve + efd serve --remote
 # ---------------------------------------------------------------------------
