@@ -4,13 +4,19 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke docs-check docs-check-run selftest serve-demo serve-smoke reshard-smoke mutation-smoke faultinject-smoke replicate-smoke remote-smoke family-smoke
+.PHONY: test bench bench-smoke perfbench docs-check docs-check-run selftest serve-demo serve-smoke reshard-smoke mutation-smoke faultinject-smoke replicate-smoke remote-smoke family-smoke
 
 test:            ## tier-1 correctness suite (the merge gate)
 	$(PYTHON) -m pytest -x -q
 
 bench:           ## benchmarks (write reports to benchmarks/output/)
 	$(PYTHON) -m pytest benchmarks -m bench -q
+
+W ?= serve
+SEED ?= 1
+perfbench:       ## user-path benchmark, plain then traced: make perfbench W=serve SEED=1
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 20 --trace 0
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 20 --trace 1
 
 bench-smoke:     ## columnar codec bench at tiny scale (fast regression gate)
 	BENCH_COLUMNAR_KEYS=20000 $(PYTHON) -m pytest \

@@ -1012,8 +1012,65 @@ class ColumnarDictionary(ShardedDictionary):
     def stats(self) -> DictionaryStats:
         if not self._delta.pending:
             return super().stats()
-        # Merged scan: base per-shard stats cannot be adjusted without
-        # per-key overlay merging anyway, so walk the merged view once.
+        overlay = self._delta.overlay
+        shared = [fp for fp, _ in overlay.entries()
+                  if fp not in self._delta_new_keys]
+        rows = None
+        if not self._base_mutated():
+            rows = self._base_resolve(shared) if shared else np.zeros(0, int)
+        if rows is None or (rows < 0).any():
+            return self._stats_walk()
+        # Base rows from the CSR columns in bulk; the few base keys the
+        # overlay also holds are masked out and re-counted merged.
+        columns = self._concat()
+        offsets = np.asarray(columns["label_offsets"], dtype=np.int64)
+        ids = np.asarray(columns["label_ids"], dtype=np.int64)
+        table = self._label_table
+        apps: Dict[str, int] = {}
+        app_ids = np.array(
+            [apps.setdefault(app_of_label(l), len(apps)) for l in table],
+            dtype=np.int64,
+        )
+        lengths = np.diff(offsets)
+        keep = np.ones(len(lengths), dtype=bool)
+        keep[rows] = False
+        colliding = 0
+        max_labels = 0
+        if len(ids):
+            row_apps = app_ids[ids]
+            starts = offsets[:-1]
+            spans = (np.maximum.reduceat(row_apps, starts)
+                     != np.minimum.reduceat(row_apps, starts))
+            colliding = int(np.count_nonzero(spans & keep))
+            max_labels = int(lengths[keep].max(initial=0))
+        all_labels: Dict[str, None] = dict.fromkeys(
+            table[i] for i in np.unique(ids).tolist()
+        )
+        merged = [
+            _merge_labels([table[i] for i in ids[offsets[r]:offsets[r + 1]]
+                           .tolist()], overlay.lookup(fp))
+            for fp, r in zip(shared, rows.tolist())
+        ]
+        merged += [overlay.lookup(fp) for fp in self._delta_new_keys]
+        for labels in merged:
+            if len({app_of_label(l) for l in labels}) > 1:
+                colliding += 1
+            max_labels = max(max_labels, len(labels))
+            all_labels.update(dict.fromkeys(labels))
+        return DictionaryStats(
+            n_keys=len(lengths) + len(self._delta_new_keys),
+            n_insertions=overlay.stats().n_insertions + sum(
+                int(f.columns()["label_counts"].sum()) for f in self._files
+            ),
+            n_labels=len(all_labels),
+            n_colliding_keys=colliding,
+            max_labels_per_key=max_labels,
+        )
+
+    def _stats_walk(self) -> DictionaryStats:
+        """:meth:`stats` over the merged view key by key: the fallback
+        when the base columns are stale (a direct shard mutation) or the
+        full-key index cannot be built."""
         n_keys = 0
         n_insertions = 0
         colliding = 0

@@ -26,9 +26,13 @@ class ServeConfig:
     Parameters
     ----------
     max_pending_samples:
-        Capacity of the bounded ingest queue.  This is the service's
-        only buffer between producers and the session table; when it is
-        full, the ``backpressure`` policy decides what happens.
+        Capacity of the bounded ingest queue, in samples.  This is the
+        service's only buffer between producers and the session table.
+        Each :meth:`~repro.serve.service.IngestService.submit_many` call
+        enqueues its samples as one block; the bound counts samples
+        across blocks, and a block larger than the free room is split.
+        When the queue is full, the ``backpressure`` policy decides what
+        happens to the rest.
     backpressure:
         ``"block"`` — :meth:`~repro.serve.service.IngestService.submit`
         awaits until queue space frees up, propagating pressure to the

@@ -6,7 +6,7 @@ LDMS aggregator, per site — all pushing telemetry at once.
 into that shared endpoint: an asyncio TCP and/or Unix-domain-socket
 listener accepting N concurrent producer connections, each speaking the
 same newline-delimited JSON :class:`~repro.serve.stream.Sample` encoding
-the file/stdin path reads (``parse_sample``), framed per line and
+the file/stdin path reads (``decode_sample``), framed per line and
 submitted in per-connection micro-batches.
 
 Design points (the full wire-protocol spec lives in ``docs/serving.md``):
@@ -41,7 +41,7 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.serve.service import IngestService
-from repro.serve.stream import Sample, parse_sample
+from repro.serve.stream import Sample, decode_sample
 
 __all__ = [
     "NetListener",
@@ -310,19 +310,15 @@ class NetListener:
     ) -> int:
         """Decode raw wire lines into ``out``; returns the new line count.
 
-        The hot path inlines the common case — a well-typed JSON object
-        with every field already the right type — and only falls back to
-        the canonical :func:`~repro.serve.stream.parse_sample` for type
-        coercion and precise error messages.  Raises
-        :class:`ProtocolError` carrying everything parsed so far
-        (``out`` is shared with the caller's batch) on the first line
-        that is oversized, undecodable, or not a valid sample.
+        Each line is size-checked, UTF-8 decoded and handed to
+        :func:`~repro.serve.stream.decode_sample`, the same parser the
+        file/stdin path uses.  Raises :class:`ProtocolError` carrying
+        everything parsed so far (``out`` is shared with the caller's
+        batch) on the first line that is oversized, undecodable, or not
+        a valid sample.
         """
-        cfg = self.config
-        max_bytes = cfg.max_line_bytes
-        loads = json.loads
+        max_bytes = self.config.max_line_bytes
         append = out.append
-        nan = float("nan")
         for raw in lines:
             lineno += 1
             if len(raw) > max_bytes:
@@ -337,35 +333,10 @@ class NetListener:
                 raise ProtocolError(
                     f"sample line {lineno}: not valid UTF-8: {exc}", out
                 )
-            if not text or text.startswith("#"):
+            if not text or text[0] == "#":
                 continue
             try:
-                obj = loads(text)
-                job = obj["job"]
-                node = obj["node"]
-                t = obj["t"]
-                value = obj["value"]
-            except (ValueError, KeyError, TypeError):
-                pass  # canonical parse below reports the real problem
-            else:
-                n_nodes = obj.get("nodes")
-                if (job.__class__ is str and job
-                        and node.__class__ is int and node >= 0
-                        and (t.__class__ is float or t.__class__ is int)
-                        and (value.__class__ is float
-                             or value.__class__ is int or value is None)
-                        and (n_nodes is None
-                             or (n_nodes.__class__ is int and n_nodes >= 1))):
-                    append(Sample(
-                        job, node,
-                        t if t.__class__ is float else float(t),
-                        nan if value is None else
-                        (value if value.__class__ is float else float(value)),
-                        n_nodes,
-                    ))
-                    continue
-            try:
-                append(parse_sample(text, lineno))
+                append(decode_sample(text, lineno))
             except ValueError as exc:
                 raise ProtocolError(str(exc), out)
         return lineno

@@ -2,8 +2,8 @@
 
 :class:`IngestService` is the event-loop front-end the ROADMAP asks for
 on top of :meth:`~repro.engine.batch.BatchRecognizer.recognize_sessions`:
-telemetry samples for thousands of concurrent jobs flow in one at a
-time, each job accumulates into its own
+telemetry samples for thousands of concurrent jobs flow in as blocks
+(one per ``submit_many`` call), each job accumulates into its own
 :class:`~repro.core.streaming.StreamSession`, and the moment a session
 crosses the fingerprint interval mark it is coalesced with other ready
 sessions into a recognition micro-batch that resolves on a worker
@@ -11,9 +11,10 @@ executor — while ingestion keeps running.
 
 The pipeline, all on one event loop::
 
-    submit(sample) ──> [bounded ingest queue] ──> _ingest_loop
-                             │ full?                  │ routes into
-                             │ block / shed           │ per-job StreamSession
+    submit_many(block) ──> [ingest queue] ──> _ingest_loop
+                             │ full, counted          │ routes each block into
+                             │ in samples?            │ per-job StreamSession
+                             │ block / shed           │
                              ▼                        ▼ session.ready?
                         backpressure            [ready queue] ──> _batch_loop
                                                                      │ coalesce
@@ -174,7 +175,10 @@ class IngestService:
         self._pending_opens: "set[str]" = set()  # admitted, not yet routed
         self._n_active = 0            # sessions not yet DONE
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ingest_q: Optional["asyncio.Queue[object]"] = None
+        self._ingest_q: Optional["asyncio.Queue[List[Sample]]"] = None
+        self._n_queued = 0            # samples in the ingest queue's blocks
+        self._room: Optional[asyncio.Event] = None
+        self._interval_end = 0.0
         self._ready_q: Optional["asyncio.Queue[str]"] = None
         self._ingest_task: Optional["asyncio.Task[None]"] = None
         self._batch_task: Optional["asyncio.Task[None]"] = None
@@ -191,6 +195,9 @@ class IngestService:
         # stale entry behind, detected by comparing done_at on prune.
         self._done_order: Deque[Tuple[str, float]] = deque()
         self._n_done = 0              # DONE sessions still in _sessions
+        # Ids of retention-pruned jobs, oldest first, capped at
+        # max_sessions (a dict used as an ordered set).
+        self._pruned: Dict[str, None] = {}
 
     @property
     def engine_lock(self) -> threading.Lock:
@@ -210,7 +217,11 @@ class IngestService:
         if self._running:
             raise RuntimeError("service already started")
         self._loop = asyncio.get_running_loop()
-        self._ingest_q = asyncio.Queue(maxsize=self.config.max_pending_samples)
+        # Unbounded in blocks; submit_many bounds it in samples.
+        self._ingest_q = asyncio.Queue()
+        self._n_queued = 0
+        self._room = asyncio.Event()
+        self._interval_end = float(self.engine.interval[1])
         self._ready_q = asyncio.Queue()
         self._inflight = asyncio.Semaphore(self.config.max_inflight_batches)
         self._session_freed = asyncio.Event()
@@ -339,7 +350,7 @@ class IngestService:
 
     # -- ingestion -----------------------------------------------------------
     async def submit(self, sample: Sample) -> bool:
-        """Offer one sample to the service.
+        """Offer one sample to the service: a one-sample block.
 
         Returns ``True`` if the sample was accepted.  Under the
         ``"block"`` policy this coroutine suspends while the ingest
@@ -352,34 +363,122 @@ class IngestService:
         instead, ``False`` is returned, and the drop is counted in
         :attr:`EngineStats.n_shed`.
         """
-        self._check_running()
-        admitted, is_new = await self._admit(sample)
-        if not admitted:
-            return False
-        if self.config.backpressure == "shed":
-            try:
-                self._ingest_q.put_nowait(sample)
-            except asyncio.QueueFull:
-                if is_new:
-                    self._pending_opens.discard(sample.job)
-                self.stats.record_shed()
-                return False
-        else:
-            await self._put_admitted(sample, is_new)
-        self.stats.record_queue_depth(self._ingest_q.qsize())
-        return True
+        return await self.submit_many((sample,)) == 1
 
-    async def _put_admitted(self, sample: Sample, is_new: bool) -> None:
-        """Blocking queue put that rolls back a fresh admission slot if
-        the caller cancels the wait (e.g. ``asyncio.wait_for`` timeout)
-        — otherwise the job would hold a ``max_sessions`` slot forever
-        without a session ever opening."""
+    async def submit_many(self, samples: Iterable[Sample]) -> int:
+        """Offer a block of samples; returns how many were accepted.
+
+        A sample of a job the service already tracks (or has already
+        admitted) passes a synchronous membership test; only a
+        first-seen job's sample runs the session-cap check of
+        :meth:`_admit`, with the :meth:`submit` semantics.  The admitted
+        samples go on the ingest queue as one block, routed in one step.
+        ``max_pending_samples`` bounds the queue in samples, across
+        blocks: a block larger than the free room is split, and the rest
+        waits for room under ``"block"`` or is shed sample by sample,
+        each after one yield, under ``"shed"``.  Before waiting for a
+        session slot the samples gathered so far are enqueued — they may
+        be the very samples that make a session ready and free the slot.
+        """
+        self._check_running()
+        sessions = self._sessions
+        opens = self._pending_opens
+        cfg = self.config
+        bound = cfg.max_pending_samples
+        block: List[Sample] = []
+        append = block.append
+        # Jobs this call admitted as new -> index in ``block`` of their
+        # first sample: the slots a cancelled put must give back.
+        fresh: Dict[str, int] = {}
+        accepted = 0
+        for sample in samples:
+            if len(block) >= bound:
+                # Hold at most one queue's worth: a long iterable
+                # streams through in bounded pieces.
+                accepted += await self._put_admitted(block, fresh)
+                block, fresh = [], {}
+                append = block.append
+            job = sample.job
+            if job not in sessions and job not in opens:
+                if block and self._n_active + len(opens) >= cfg.max_sessions:
+                    # Hold nothing while waiting for a session slot.
+                    accepted += await self._put_admitted(block, fresh)
+                    block, fresh = [], {}
+                    append = block.append
+                admitted, is_new = await self._admit(sample)
+                if not admitted:
+                    continue
+                if is_new:
+                    fresh[job] = len(block)
+            append(sample)
+        if block:
+            accepted += await self._put_admitted(block, fresh)
+        return accepted
+
+    async def _put_admitted(
+        self, block: List[Sample], fresh: Dict[str, int]
+    ) -> int:
+        """Enqueue an admitted block within the sample bound; returns how
+        many of its samples went on the queue.
+
+        If the caller cancels the wait (e.g. an ``asyncio.wait_for``
+        timeout), the admission slots of ``fresh`` jobs none of whose
+        samples were enqueued are given back — otherwise such a job
+        would hold a ``max_sessions`` slot forever without a session
+        ever opening.
+        """
+        q = self._ingest_q
+        bound = self.config.max_pending_samples
+        shed = self.config.backpressure == "shed"
+        n = len(block)
+        done = 0
+        accepted = 0
         try:
-            await self._ingest_q.put(sample)
+            while done < n:
+                room = bound - self._n_queued
+                if room <= 0:
+                    if not shed:
+                        self._room.clear()
+                        await self._room.wait()
+                        continue
+                    # Yield once so the ingest loop can drain, then shed
+                    # only if the queue is *still* full — i.e. ingestion
+                    # genuinely cannot keep up.
+                    await asyncio.sleep(0)
+                    room = bound - self._n_queued
+                    if room <= 0:
+                        self._shed(block, done, fresh)
+                        done += 1
+                        continue
+                piece = block[done:done + room]
+                q.put_nowait(piece)
+                self._n_queued += len(piece)
+                self.stats.record_queue_depth(self._n_queued)
+                done += len(piece)
+                accepted += len(piece)
+            # Cooperative flood: give the ingest loop a turn per block,
+            # so routing (and readiness) keeps pace with a fast producer.
+            await asyncio.sleep(0)
         except asyncio.CancelledError:
-            if is_new:
-                self._pending_opens.discard(sample.job)
+            for job, first in fresh.items():
+                if first >= done:
+                    self._pending_opens.discard(job)
             raise
+        return accepted
+
+    def _shed(self, block: List[Sample], i: int, fresh: Dict[str, int]) -> None:
+        """Shed ``block[i]``; a fresh job keeps its admission slot only
+        while a later sample of it is still to be enqueued."""
+        job = block[i].job
+        if fresh.get(job) == i:
+            for k in range(i + 1, len(block)):
+                if block[k].job == job:
+                    fresh[job] = k
+                    break
+            else:
+                del fresh[job]
+                self._pending_opens.discard(job)
+        self.stats.record_shed()
 
     async def _admit(self, sample: Sample) -> Tuple[bool, bool]:
         """Session-cap admission control, applied at the producer side.
@@ -389,11 +488,14 @@ class IngestService:
         session, so verdicts — which free slots — can always make
         progress.  Jobs admitted but not yet routed are counted against
         the cap via ``_pending_opens``, so a burst of first-sight jobs
-        cannot blow past it.
+        cannot blow past it.  A trailing sample of a retention-pruned
+        job takes no slot: routing drops it as late.
         """
         job = sample.job
         while True:
             if job in self._sessions or job in self._pending_opens:
+                return True, False
+            if self._pruned_late(sample):
                 return True, False
             if (self._n_active + len(self._pending_opens)
                     < self.config.max_sessions):
@@ -404,48 +506,6 @@ class IngestService:
                 return False, False
             self._session_freed.clear()
             await self._session_freed.wait()
-
-    async def submit_many(self, samples: Iterable[Sample]) -> int:
-        """Offer many samples; returns how many were accepted.
-
-        Equivalent to awaiting :meth:`submit` per sample but cheaper —
-        consecutive non-blocking puts skip the event-loop round-trip.
-        """
-        self._check_running()
-        accepted = 0
-        shed = self.config.backpressure == "shed"
-        q = self._ingest_q
-        for i, sample in enumerate(samples):
-            if i and i % 64 == 0:
-                # Cooperative flood: give the ingest loop a turn so a
-                # fast producer doesn't starve routing (and, under the
-                # shed policy, doesn't drop samples ingestion could
-                # have drained in time).  Keyed to iterations, not
-                # acceptances — a shedding stretch must yield too.
-                await asyncio.sleep(0)
-            admitted, is_new = await self._admit(sample)
-            if not admitted:
-                continue
-            try:
-                q.put_nowait(sample)
-            except asyncio.QueueFull:
-                if shed:
-                    # Yield once so the ingest loop can drain, then
-                    # retry; shed only if the queue is *still* full —
-                    # i.e. ingestion genuinely cannot keep up.
-                    await asyncio.sleep(0)
-                    try:
-                        q.put_nowait(sample)
-                    except asyncio.QueueFull:
-                        if is_new:
-                            self._pending_opens.discard(sample.job)
-                        self.stats.record_shed()
-                        continue
-                else:
-                    await self._put_admitted(sample, is_new)
-            accepted += 1
-        self.stats.record_queue_depth(q.qsize())
-        return accepted
 
     # -- verdict access -------------------------------------------------------
     async def verdict(self, job: str) -> MatchResult:
@@ -551,35 +611,55 @@ class IngestService:
 
     # -- internals: routing ---------------------------------------------------
     async def _ingest_loop(self) -> None:
+        q = self._ingest_q
         while True:
-            sample = await self._ingest_q.get()
+            block = await q.get()
+            self._n_queued -= len(block)
+            self._room.set()
             try:
-                await self._route(sample)
+                self._route(block)
             finally:
-                self._ingest_q.task_done()
+                q.task_done()
 
-    async def _route(self, sample: Sample) -> None:
-        state = self._sessions.get(sample.job)
-        if state is None:
-            state = self._open(sample)
-        if state.phase is not _Phase.ACTIVE:
-            # Verdict already queued/decided; the session may be in the
-            # hands of the worker executor, so mutating it now would
-            # race.  Dropping is sound for in-order feeds: once every
-            # node's clock passed the interval end, an in-order sample
-            # lies outside the interval and cannot change a
-            # fingerprint.  (An out-of-order retransmission landing
-            # here is dropped too — see the module docstring caveat.)
-            self.stats.record_late()
-            return
-        try:
-            state.session.ingest(sample.node, sample.time, sample.value)
-        except Exception as exc:  # bad node rank, concluded session, ...
-            self._resolve_error(state, exc)
-            return
-        state.last_activity = self._loop.time()
-        if state.session.ready:
-            self._queue_ready(state)
+    def _route(self, block: List[Sample]) -> None:
+        """Feed one block into its sessions; never awaits."""
+        sessions = self._sessions
+        active = _Phase.ACTIVE
+        now = self._loop.time()
+        for sample in block:
+            state = sessions.get(sample.job)
+            if state is None:
+                if self._pruned_late(sample):
+                    self.stats.record_late()
+                    continue
+                state = self._open(sample)
+            if state.phase is not active:
+                # Verdict already queued/decided; the session may be in
+                # the hands of the worker executor, so mutating it now
+                # would race.  Dropping is sound for in-order feeds:
+                # once every node's clock passed the interval end, an
+                # in-order sample lies outside the interval and cannot
+                # change a fingerprint.  (An out-of-order retransmission
+                # landing here is dropped too — see the module docstring
+                # caveat.)
+                self.stats.record_late()
+                continue
+            session = state.session
+            try:
+                session.ingest(sample.node, sample.time, sample.value)
+            except Exception as exc:  # bad node rank, concluded session, ...
+                self._resolve_error(state, exc)
+                continue
+            state.last_activity = now
+            if session.ready:
+                self._queue_ready(state)
+
+    def _pruned_late(self, sample: Sample) -> bool:
+        """A trailing sample of a job whose verdict was delivered and
+        then pruned by retention: late, not the first of a new session.
+        (One inside the interval is a restarted job and reopens.)"""
+        return (sample.job in self._pruned
+                and sample.time >= self._interval_end)
 
     def _open(self, sample: Sample) -> _SessionState:
         """Create the session for a first-seen job id.
@@ -588,6 +668,7 @@ class IngestService:
         never blocks, so routing stays live for existing sessions.
         """
         self._pending_opens.discard(sample.job)
+        self._pruned.pop(sample.job, None)  # a restarted job reopens
         n_nodes = sample.n_nodes or self.config.default_nodes
         engine = self.engine
         session = StreamSession(
@@ -771,6 +852,12 @@ class IngestService:
                 or state.done_at != done_at):
             return False
         self.forget(job, _pruned=True)
+        # Remember the id, so the job's trailing samples count as late
+        # instead of opening a second session (and verdict) for it.
+        pruned = self._pruned
+        pruned[job] = None
+        if len(pruned) > self.config.max_sessions:
+            del pruned[next(iter(pruned))]
         return True
 
     def _prune_older_than(self, cutoff: float) -> None:

@@ -57,13 +57,15 @@ class Sample(NamedTuple):
 def parse_sample(line: str, lineno: int = 0) -> Sample:
     """Decode one JSONL line into a :class:`Sample`.
 
-    Raises :class:`ValueError` naming the offending line number for
-    malformed JSON, missing fields, or out-of-domain values.
+    The canonical decoder: it coerces numeric strings, bools and floats
+    the way ``str``/``int``/``float`` do, and raises :class:`ValueError`
+    naming the offending line number for malformed JSON, missing fields,
+    or out-of-domain values.
     """
     where = f"sample line {lineno}" if lineno else "sample line"
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{where}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
@@ -74,32 +76,89 @@ def parse_sample(line: str, lineno: int = 0) -> Sample:
         raw = obj["value"]
     except KeyError as exc:
         raise ValueError(f"{where}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: bad field value: {exc}") from exc
     if not job:
         raise ValueError(f"{where}: job id must be non-empty")
     if node < 0:
         raise ValueError(f"{where}: node must be >= 0, got {node}")
-    value = float("nan") if raw is None else float(raw)
-    n_nodes = obj.get("nodes")
-    if n_nodes is not None:
-        n_nodes = int(n_nodes)
-        if n_nodes < 1:
-            raise ValueError(f"{where}: nodes must be >= 1, got {n_nodes}")
+    try:
+        value = float("nan") if raw is None else float(raw)
+        n_nodes = obj.get("nodes")
+        if n_nodes is not None:
+            n_nodes = int(n_nodes)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: bad field value: {exc}") from exc
+    if n_nodes is not None and n_nodes < 1:
+        raise ValueError(f"{where}: nodes must be >= 1, got {n_nodes}")
     return Sample(job=job, node=node, time=time, value=value, n_nodes=n_nodes)
+
+
+_scan_once = json.JSONDecoder().scan_once
+_NAN = float("nan")
+#: ``Sample``'s own ``__new__`` is a Python-level function; the tuple
+#: constructor builds the same object in a fraction of the time.
+_new_sample = tuple.__new__
+
+
+def decode_sample(text: str, lineno: int = 0) -> Sample:
+    """Decode one stripped, non-blank JSONL line: the one ingest parser.
+
+    The fast path takes the common line as it comes off the wire: one C
+    scanner call that must consume the whole line, then exact type
+    checks — a non-empty ``str`` job, an ``int`` node >= 0, an
+    ``int``/``float`` time, an ``int``/``float``/``null`` value and an
+    absent, ``null`` or ``int`` >= 1 node count.  Any other line goes to
+    :func:`parse_sample`, so coercions and line-numbered errors are
+    exactly the canonical decoder's.  Lines are decoded one by one, never
+    as one joined array: a line that opens a bracket must fail by its
+    own number, not close over its neighbour.
+    """
+    try:
+        obj, end = _scan_once(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return parse_sample(text, lineno)
+    if end == len(text) and obj.__class__ is dict:
+        try:
+            job = obj["job"]
+            node = obj["node"]
+            t = obj["t"]
+            value = obj["value"]
+        except KeyError:
+            return parse_sample(text, lineno)
+        n_nodes = obj.get("nodes")
+        t_cls = t.__class__
+        v_cls = value.__class__
+        if (job.__class__ is str and job
+                and node.__class__ is int and node >= 0
+                and (t_cls is float or t_cls is int)
+                and (v_cls is float or v_cls is int or value is None)
+                and (n_nodes is None
+                     or (n_nodes.__class__ is int and n_nodes >= 1))):
+            try:
+                return _new_sample(Sample, (
+                    job, node,
+                    t if t_cls is float else float(t),
+                    value if v_cls is float else
+                    (_NAN if value is None else float(value)),
+                    n_nodes,
+                ))
+            except OverflowError:  # an int beyond float range
+                pass
+    return parse_sample(text, lineno)
 
 
 def read_samples(stream: Union[TextIO, Iterable[str]]) -> Iterator[Sample]:
     """Iterate :class:`Sample` objects from a JSONL stream.
 
     Blank lines and ``#`` comment lines are skipped; anything else must
-    parse, or :func:`parse_sample` raises with the line number.
+    decode (:func:`decode_sample`), or :func:`parse_sample` raises with
+    the line number.
     """
     for lineno, line in enumerate(stream, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield parse_sample(stripped, lineno)
+        text = line.strip()
+        if text and text[0] != "#":
+            yield decode_sample(text, lineno)
 
 
 def record_samples(

@@ -314,6 +314,56 @@ class TestCompaction:
         _assert_equal_stores(load_sharded(json_out), flat)
 
 
+class TestStatsWithPendingLog:
+    """``stats()`` over base + pending overlay is one bulk pass over the
+    columns, equal to the flat oracle before and after compaction."""
+
+    @pytest.mark.parametrize("storage,filters", [
+        ("npz", True), ("npz", False), ("mmap", True),
+    ])
+    def test_pending_stats_equal_compacted_and_flat(
+        self, tmp_path, storage, filters
+    ):
+        flat = _small_flat()
+        directory = str(tmp_path / "col")
+        save_columnar(ShardedDictionary.from_flat(flat, 4), directory,
+                      storage=storage, filters=filters)
+        col = load_columnar(directory)
+        base_keys = [fp for fp, _ in flat.entries()]
+        writes = [
+            (_fp(90000.0, 1), "zz_Q"),         # a new key, a new app
+            (_fp(90000.0, 1), "zz_Q"),         # its repetition count
+            (_fp(90001.0, 2), "ft_X"),         # a new key, a known label
+            (base_keys[1], "ft_Y"),            # a base key, a known app
+            (base_keys[2], "lu_A"),            # a base key turns colliding
+            (base_keys[0], "sp_B"),            # a colliding key grows
+            (base_keys[0], "bt_C"),            # ... past the base maximum
+            (base_keys[3], "ft_Y"),            # a base label repeated
+        ]
+        for fp, label in writes:
+            col.add(fp, label)
+            flat.add(fp, label)
+        assert col.delta_pending == len(writes)
+        pending = col.stats()
+        assert not any(shard.hydrated for shard in col.shards)
+        assert pending == flat.stats()
+        assert pending == col._stats_walk()
+        assert pending.max_labels_per_key == 4
+        col.compact_delta()
+        assert col.stats() == pending
+
+    def test_mutated_base_falls_back_to_the_walk(self, tmp_path):
+        flat = _small_flat()
+        col, _ = _columnar(tmp_path, flat, n_shards=2)
+        col.add(_fp(90000.0), "zz_Q")
+        flat.add(_fp(90000.0), "zz_Q")
+        fp = next(iter(flat.entries()))[0]
+        col.shards[0 if fp in col.shards[0] else 1].add(fp, "lu_Z")
+        flat.add(fp, "lu_Z")
+        assert not col.pristine
+        assert col.stats() == flat.stats()
+
+
 class TestExpandGuard:
     def test_expand_refuses_unfolded_delta(self, tmp_path):
         col, directory = _columnar(tmp_path, _small_flat(), n_shards=2)

@@ -27,6 +27,7 @@ from repro.serve import (
     ServeConfig,
     SessionEvicted,
     interleave_records,
+    record_samples,
 )
 
 METRIC = "nr_mapped_vmstat"
@@ -185,6 +186,18 @@ def _sample(job: str, t: float, node: int = 0) -> Sample:
     return Sample(job=job, node=node, time=t, value=100.0, n_nodes=1)
 
 
+def _split_at_ready(samples, n_nodes: int, end: float):
+    """A job's stream cut right after the sample that makes its session
+    ready: (the samples up to it, the trailing samples)."""
+    crossed = set()
+    for i, sample in enumerate(samples):
+        if sample.time >= end:
+            crossed.add(sample.node)
+        if len(crossed) == n_nodes:
+            return samples[:i + 1], samples[i + 1:]
+    raise AssertionError("the stream never crosses the interval end")
+
+
 class TestBackpressure:
     def test_submit_requires_started_service(self, recognizer):
         service = IngestService(_engine(recognizer))
@@ -235,6 +248,7 @@ class TestBackpressure:
                 )
                 assert accepted == 3
                 assert service.stats.n_shed == 7
+                assert service.stats.queue_peak == 3   # counted in samples
 
         asyncio.run(run())
 
@@ -316,6 +330,102 @@ class TestBackpressure:
                 assert "j" in service.results
 
         asyncio.run(run())
+
+
+class TestBlockBackpressure:
+    """``submit_many`` moves blocks, but the queue bound, the shed
+    accounting and the admission rollback stay per sample."""
+
+    def test_block_larger_than_queue_stays_within_bound(
+        self, recognizer, dataset
+    ):
+        records = list(dataset)[:3]
+        job_ids = ["a", "b", "c"]
+        reference = _reference_verdicts(recognizer, records, job_ids)
+        samples = list(interleave_records(records, METRIC, job_ids))
+        config = ServeConfig(max_pending_samples=16, backpressure="block",
+                             batch_max_delay=0.002)
+        assert len(samples) > 10 * config.max_pending_samples
+        engine = _engine(recognizer)
+        service = asyncio.run(_serve(engine, config, samples, chunked=True))
+        assert 0 < engine.stats.queue_peak <= config.max_pending_samples
+        assert engine.stats.n_shed == 0
+        assert service.results == reference
+
+    def test_shed_accounting_with_live_ingestion_and_session_cap(
+        self, recognizer, dataset
+    ):
+        records = list(dataset)[:4]
+        samples = list(interleave_records(records, METRIC, list("abcd")))
+
+        async def run():
+            config = ServeConfig(max_pending_samples=4, backpressure="shed",
+                                 max_sessions=2, batch_max_delay=0.002)
+            async with IngestService(_engine(recognizer), config) as service:
+                accepted = 0
+                for i in range(0, len(samples), 100):
+                    accepted += await service.submit_many(samples[i:i + 100])
+                await service.drain()
+                return service, accepted
+
+        service, accepted = asyncio.run(run())
+        assert service.stats.n_shed > 0           # the cap did shed
+        assert accepted + service.stats.n_shed == len(samples)
+        assert service.stats.queue_peak <= 4
+
+    def test_cancelled_block_rolls_back_only_unenqueued_admissions(
+        self, recognizer
+    ):
+        async def run():
+            config = ServeConfig(max_pending_samples=3, backpressure="block")
+            async with IngestService(_engine(recognizer), config) as service:
+                service._tasks[0].cancel()   # freeze ingestion
+                await asyncio.sleep(0)
+                assert await service.submit(_sample("x", 0.0))
+                # Room for two more: the block is split after b.
+                block = [_sample("a", 0.0), _sample("b", 0.0),
+                         _sample("c", 0.0), _sample("c", 1.0)]
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(service.submit_many(block), 0.05)
+                # a and b went on the queue: their sessions still open on
+                # routing.  c never did: its slot is given back.
+                assert service._pending_opens == {"x", "a", "b"}
+                assert service._n_queued == 3
+                assert service.stats.queue_peak == 3
+
+        asyncio.run(run())
+
+    def test_admission_wait_mid_block_flushes_held_samples(
+        self, recognizer, dataset
+    ):
+        """max_sessions=1 and a block holding job a's readiness samples,
+        then job b's first sample: the producer must enqueue a's samples
+        before it waits for b's slot, or it waits forever."""
+        records = list(dataset)[:2]
+        reference = _reference_verdicts(recognizer, records, ["a", "b"])
+        engine = _engine(recognizer)
+        a = list(record_samples(records[0], METRIC, "a"))
+        b = list(record_samples(records[1], METRIC, "b"))
+        head, trailing = _split_at_ready(
+            a, records[0].n_nodes, engine.interval[1]
+        )
+        stream = head + [s for pair in zip(trailing, b) for s in pair] \
+            + b[len(trailing):] + trailing[len(b):]
+
+        async def run():
+            config = ServeConfig(max_sessions=1, backpressure="block",
+                                 batch_max_delay=0.002)
+            async with IngestService(engine, config) as service:
+                accepted = await asyncio.wait_for(
+                    service.submit_many(stream), timeout=30
+                )
+                await service.drain()
+                return service, accepted
+
+        service, accepted = asyncio.run(run())
+        assert accepted == len(stream)
+        assert engine.stats.n_shed == 0
+        assert service.results == reference
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +783,86 @@ class TestRetention:
 
         service = asyncio.run(run())
         assert service.n_sessions == 1
+
+
+    def test_pruned_job_trailing_samples_are_late(self, recognizer, dataset):
+        """A job's samples after its interval, arriving once retention
+        pruned its session, are late: no second session, no second
+        verdict."""
+        records = list(dataset)[:2]
+        engine = _engine(recognizer)
+        a = list(record_samples(records[0], METRIC, "a"))
+        head, trailing = _split_at_ready(
+            a, records[0].n_nodes, engine.interval[1]
+        )
+        assert trailing
+        delivered = []
+
+        async def run():
+            config = ServeConfig(batch_max_delay=0.002, retention_max_done=1)
+            service = IngestService(
+                engine, config,
+                on_verdict=lambda job, result: delivered.append(job),
+            )
+            async with service:
+                await service.submit_many(head)
+                await service.drain()
+                await service.submit_many(
+                    record_samples(records[1], METRIC, "b")
+                )
+                await service.drain()
+                assert "a" not in service._sessions       # pruned
+                late = service.stats.n_late
+                await service.submit_many(trailing)
+                await service.drain()
+                assert service.stats.n_late == late + len(trailing)
+                assert "a" not in service._sessions       # not reopened
+                assert service.n_sessions == 1
+                assert service._pending_opens == set()
+
+        asyncio.run(run())
+        assert delivered == ["a", "b"]
+        assert engine.stats.n_pruned == 1
+
+    def test_pruned_job_restart_reopens(self, recognizer, dataset):
+        """A pruned id whose samples start inside the interval again is
+        a restarted job: it reopens and gets a verdict of its own."""
+        record = list(dataset)[0]
+        engine = _engine(recognizer)
+        delivered = []
+
+        async def run():
+            config = ServeConfig(batch_max_delay=0.002, retention_max_done=1)
+            service = IngestService(
+                engine, config,
+                on_verdict=lambda job, result: delivered.append(job),
+            )
+            async with service:
+                for job in ("a", "b", "a"):
+                    await service.submit_many(
+                        record_samples(record, METRIC, job)
+                    )
+                    await service.drain()
+                assert "a" not in service._pruned   # evicted on reopen
+                assert list(service._pruned) == ["b"]
+
+        asyncio.run(run())
+        assert delivered == ["a", "b", "a"]
+
+    def test_pruned_ids_are_capped_at_max_sessions(self, recognizer):
+        async def run():
+            config = ServeConfig(batch_max_delay=0.002, retention_max_done=1,
+                                 max_sessions=2)
+            async with IngestService(_engine(recognizer), config) as service:
+                for job in "abcde":
+                    # One node past the interval end: ready at once.
+                    await service.submit(_sample(job, 130.0))
+                    await service.drain()
+                assert list(service._pruned) == ["c", "d"]
+                service.forget("e")               # explicit: not kept
+                assert list(service._pruned) == ["c", "d"]
+
+        asyncio.run(run())
 
 
 class TestServeConfigValidation:
